@@ -30,7 +30,6 @@ from repro.datasets import (
     manhattan_dataset,
     multi_robot_rendezvous_dataset,
     read_g2o,
-    run_online,
     sphere_dataset,
     write_g2o,
 )
@@ -40,6 +39,7 @@ from repro.geometry import SE2, SE3
 from repro.hardware.registry import make_platform
 from repro.linalg.ordering import ordering_names
 from repro.metrics import latency_stats
+from repro.pipeline import BackendPipeline, PricingStage
 from repro.policy import controller_names, selection_names
 from repro.runtime import NodeCostModel
 from repro.solvers import GaussNewton, ISAM2, IncrementalEngine, \
@@ -185,7 +185,8 @@ def cmd_simulate(args) -> int:
                        selection_policy=args.selection,
                        selection_seed=args.seed,
                        ordering=args.ordering, workers=args.workers)
-    run = run_online(solver, data, soc=soc, collect_errors=False)
+    pricing = PricingStage(soc)
+    run = BackendPipeline(solver, [pricing], collect_traces=True).run(data)
     stats = latency_stats(run.latency_seconds(), target)
     print(f"{data.describe()} on {soc.name}")
     print(f"policies: selection={args.selection}, "
@@ -200,6 +201,10 @@ def cmd_simulate(args) -> int:
     rate = 100.0 * hits / total if total else 0.0
     print(f"step plans: {int(hits)} hits, {int(compiles)} compiles "
           f"({rate:.1f}% reused)")
+    lookups = pricing.block_hits + pricing.block_misses
+    if lookups:
+        print(f"op-block pricing: {pricing.block_entries} distinct, "
+              f"{100.0 * pricing.block_hits / lookups:.1f}% reused")
     par_nodes = sum(r.extras.get("parallel_nodes", 0.0)
                     for r in run.reports)
     if par_nodes:

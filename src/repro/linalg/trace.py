@@ -83,6 +83,17 @@ MEMCPY_CODE = KIND_CODE[OpKind.MEMCPY]
 
 _ARITY_BY_CODE = tuple(KIND_ARITY[kind] for kind in KINDS)
 
+# ``record`` runs hundreds of times per solver step.  ``KIND_CODE[kind]``
+# hashes the member through the Python-level ``Enum.__hash__``, so each
+# member also carries its code as a plain attribute; a row's padding is
+# one precomputed tail per arity.
+for _code, _kind in enumerate(KINDS):
+    _kind.code = _code
+del _code, _kind
+
+#: ``_PAD_TAILS[len(dims)]`` pads a dims row to the matrix's 3 columns.
+_PAD_TAILS = ((DIMS_PAD,) * 3, (DIMS_PAD,) * 2, (DIMS_PAD,), ())
+
 
 @dataclass(frozen=True)
 class Op:
@@ -243,11 +254,11 @@ class NodeTrace:
     # -- recording (solver hot path) -----------------------------------
 
     def record(self, kind: OpKind, *dims: int) -> None:
-        self._codes.append(KIND_CODE[kind])
-        row = [DIMS_PAD] * 3
-        for i, d in enumerate(dims):
-            row[i] = int(d)
+        # More than 3 dims fails here, before any column is touched.
+        # The int64 array takes Python and numpy integers as they are.
+        row = dims + _PAD_TAILS[len(dims)]
         self._dims.extend(row)
+        self._codes.append(kind.code)
         self._version += 1
 
     @property
@@ -381,6 +392,16 @@ class NodeTrace:
                        lanes: Tuple[float, float, float]) -> None:
         self._fresh()
         self._lane_cache[key] = lanes
+
+    def content_key(self) -> Tuple[bytes, bytes]:
+        """The op block's raw kind-code and dims columns as bytes.
+
+        Lane totals depend on nothing else of the trace (not on
+        ``node_id``, ``cols`` or ``rows_below``), so two traces with equal
+        keys price identically on any platform — the key of the run-wide
+        block memo (:class:`repro.runtime.scheduler.LaneBlockMemo`).
+        """
+        return (self._codes.tobytes(), self._dims.tobytes())
 
     # -- aggregate / row-wise API (unchanged contract) -------------------
 

@@ -20,7 +20,7 @@ from repro.linalg.trace import OpTrace
 from repro.metrics.ape import irmse, translation_errors
 from repro.policy import describe_policies
 from repro.runtime.executor import StepLatency, execute_step
-from repro.runtime.scheduler import RuntimeFeatures
+from repro.runtime.scheduler import LaneBlockMemo, RuntimeFeatures
 from repro.solvers.base import StepReport
 from repro.validate import current_auditor
 
@@ -79,16 +79,38 @@ class PipelineStage:
 
 
 class PricingStage(PipelineStage):
-    """Price each step's op trace on a platform (paper Figs. 8/10/11)."""
+    """Price each step's op trace on a platform (paper Figs. 8/10/11).
+
+    The stage owns a :class:`LaneBlockMemo`: across the steps it prices,
+    each distinct op block is priced once and its repeats reuse the
+    exact lane totals.  The memo lives and dies with the stage, so two
+    stages never share entries.
+    """
 
     def __init__(self, soc: SoCConfig,
                  features: RuntimeFeatures = RuntimeFeatures.all()):
         self.soc = soc
         self.features = features
+        self.block_memo = LaneBlockMemo()
+
+    @property
+    def block_hits(self) -> int:
+        """Node pricings served from the block memo."""
+        return self.block_memo.hits
+
+    @property
+    def block_misses(self) -> int:
+        """Node pricings the block memo had to compute."""
+        return self.block_memo.misses
+
+    @property
+    def block_entries(self) -> int:
+        """Distinct op blocks priced so far."""
+        return len(self.block_memo)
 
     def price(self, report: StepReport) -> StepLatency:
         return execute_step(report, self.soc, report.node_parents,
-                            self.features)
+                            self.features, memo=self.block_memo)
 
     def on_step(self, pipeline, ctx, report, run) -> None:
         run.latencies.append(self.price(report))

@@ -13,6 +13,7 @@ Implements paper Section 4.3 as an event-driven simulation:
 """
 
 from repro.runtime.scheduler import (
+    LaneBlockMemo,
     RuntimeFeatures,
     SimResult,
     node_cycles,
@@ -24,6 +25,7 @@ from repro.runtime.cost_model import NodeCostModel
 from repro.runtime.executor import StepLatency, execute_step
 
 __all__ = [
+    "LaneBlockMemo",
     "RuntimeFeatures",
     "SimResult",
     "node_cycles",

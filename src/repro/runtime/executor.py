@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 from repro.hardware.platforms import SoCConfig
 from repro.runtime.scheduler import (
+    LaneBlockMemo,
     RuntimeFeatures,
     SimResult,
     sequential_cycles,
@@ -72,6 +73,7 @@ def execute_step(
     parents: Optional[Dict[int, Optional[int]]] = None,
     features: RuntimeFeatures = RuntimeFeatures.all(),
     selection_cycles_per_visit: float = SELECTION_CYCLES_PER_VISIT,
+    memo: Optional[LaneBlockMemo] = None,
 ) -> StepLatency:
     """Price one solver step on a platform.
 
@@ -91,6 +93,11 @@ def execute_step(
         overstating parallelism — and now raises a
         :class:`RuntimeWarning` instead (pass ``parents={}`` explicitly
         to assert the nodes really are independent).
+    memo:
+        Optional :class:`LaneBlockMemo` that serves node lane totals
+        across a run's steps by op-block content (a
+        :class:`repro.pipeline.PricingStage` owns one).  Without it every
+        fresh trace is priced; the result is the same bit for bit.
     """
     host = soc.host
     # Relinearization is trivially parallel (paper Section 3.3) and is
@@ -120,7 +127,7 @@ def execute_step(
                     RuntimeWarning, stacklevel=2)
             parents = {}
         result: SimResult = simulate_tree(
-            report.trace.nodes, parents, soc, features)
+            report.trace.nodes, parents, soc, features, memo)
         # Loose ops (solve sweeps outside any supernode) run on the host
         # tile and serialize with the schedule.  They used to be priced
         # only on the no-accelerator branch and silently dropped here;

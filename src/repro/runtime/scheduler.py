@@ -122,8 +122,86 @@ def _ordered_sum(cycles, mask) -> float:
     return sum(cycles[mask].tolist(), 0.0)
 
 
+class LaneBlockMemo:
+    """Lane totals keyed by op-block content, shared across a run's steps.
+
+    Every step records fresh :class:`NodeTrace` objects, so the per-trace
+    lane memo never hits within a stream — yet most node traces are
+    byte-identical repeats of an op block an earlier step already priced
+    (the same back-solve node, the same front shape).  This memo maps
+    ``(soc.pricing_key, hetero_overlap, codes bytes, dims bytes)`` to the
+    exact lane tuple that earlier pricing computed, so a hit changes no
+    latency bit.
+
+    One memo belongs to one :class:`repro.pipeline.PricingStage` and
+    lives as long as it: never module-global, so a run gets no hits from
+    another run's inputs.  ``hits``/``misses`` count block lookups (each
+    made only after the per-trace memo missed).  A stage prices its
+    steps serially, so the counters take no lock.
+    """
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.entries: Dict[tuple, Tuple[float, float, float]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def lanes(self, key: tuple, trace: NodeTrace, soc: SoCConfig,
+              features: RuntimeFeatures, aud=None,
+              ) -> Tuple[float, float, float]:
+        """Lane totals of ``trace`` under the per-trace memo ``key``."""
+        block = key + trace.content_key()
+        lanes = self.entries.get(block)
+        if lanes is None:
+            self.misses += 1
+            lanes = self.entries[block] = _price_lanes(trace, soc,
+                                                       features)
+        else:
+            self.hits += 1
+            if aud is not None:
+                fresh = _price_lanes(trace, soc, features)
+                aud.check(fresh == lanes, "lane-memo-consistent",
+                          "memoized op-block lanes diverged from a fresh "
+                          "pricing", node=trace.node_id, memo=lanes,
+                          fresh=fresh)
+        return lanes
+
+
+def _price_lanes(trace: NodeTrace, soc: SoCConfig,
+                 features: RuntimeFeatures) -> Tuple[float, float, float]:
+    """Price ``trace``'s (compute, memory, host) lanes; no memo."""
+    if trace.num_ops == 0:
+        return (0.0, 0.0, 0.0)
+    memory = trace.memory_mask()
+    if soc.has_accelerators:
+        on_comp = soc.comp.supports_mask(trace)
+    else:
+        on_comp = np.zeros(trace.num_ops, dtype=bool)
+    on_mem = memory & ~on_comp if soc.offloads_memory_ops \
+        else np.zeros(trace.num_ops, dtype=bool)
+    on_host = ~(on_comp | on_mem)
+
+    comp_cycles = _ordered_sum(soc.comp.price_ops(trace), on_comp) \
+        if on_comp.any() else 0.0
+    mem_cycles = 0.0
+    host_cycles = _ordered_sum(soc.host.price_ops(trace), on_host) \
+        if on_host.any() else 0.0
+    if on_mem.any():
+        mem_tile_cycles = _ordered_sum(soc.mem.price_ops(trace), on_mem)
+        if features.hetero_overlap:
+            mem_cycles = mem_tile_cycles
+        else:
+            host_cycles += mem_tile_cycles
+    return (comp_cycles, mem_cycles, host_cycles)
+
+
 def node_cycles(trace: NodeTrace, soc: SoCConfig,
                 features: RuntimeFeatures = RuntimeFeatures.all(),
+                memo: Optional[LaneBlockMemo] = None, aud=None,
                 ) -> Tuple[float, float, float]:
     """(compute, memory, host) cycles of one node on one accelerator set.
 
@@ -136,9 +214,14 @@ def node_cycles(trace: NodeTrace, soc: SoCConfig,
 
     Ops are priced through the platforms' vectorized ``price_ops`` over
     the trace's columnar layout, and the three lane totals are memoized
-    on the trace per ``(soc.pricing_key, hetero_overlap)`` — repricing
-    the same step on seven platforms or re-running the Fig. 9 feature
-    ablation prices each node once per distinct platform.
+    on two levels.  The per-trace memo, keyed by ``(soc.pricing_key,
+    hetero_overlap)``, makes repricing the same step on seven platforms
+    or re-running the Fig. 9 feature ablation price each node once per
+    distinct platform; its hits and misses are ``LANE_CACHE_STATS``.
+    Only on a per-trace miss is the optional content-keyed ``memo``
+    (:class:`LaneBlockMemo`) consulted, which serves repeats of an op
+    block across a run's steps.  Under an auditor ``aud``, every block
+    hit is re-priced and must match exactly.
     """
     key = (soc.pricing_key, features.hetero_overlap)
     # The whole lookup-compute-store is atomic per trace: two threads
@@ -151,34 +234,10 @@ def node_cycles(trace: NodeTrace, soc: SoCConfig,
             LANE_CACHE_STATS.record_hit()
             return lanes
         LANE_CACHE_STATS.record_miss()
-        if trace.num_ops == 0:
-            lanes = (0.0, 0.0, 0.0)
-            trace.lane_cache_put(key, lanes)
-            return lanes
-
-        memory = trace.memory_mask()
-        if soc.has_accelerators:
-            on_comp = soc.comp.supports_mask(trace)
+        if memo is None:
+            lanes = _price_lanes(trace, soc, features)
         else:
-            on_comp = np.zeros(trace.num_ops, dtype=bool)
-        on_mem = memory & ~on_comp if soc.offloads_memory_ops \
-            else np.zeros(trace.num_ops, dtype=bool)
-        on_host = ~(on_comp | on_mem)
-
-        comp_cycles = _ordered_sum(soc.comp.price_ops(trace), on_comp) \
-            if on_comp.any() else 0.0
-        mem_cycles = 0.0
-        host_cycles = _ordered_sum(soc.host.price_ops(trace), on_host) \
-            if on_host.any() else 0.0
-        if on_mem.any():
-            mem_tile_cycles = _ordered_sum(soc.mem.price_ops(trace),
-                                           on_mem)
-            if features.hetero_overlap:
-                mem_cycles = mem_tile_cycles
-            else:
-                host_cycles += mem_tile_cycles
-
-        lanes = (comp_cycles, mem_cycles, host_cycles)
+            lanes = memo.lanes(key, trace, soc, features, aud)
         trace.lane_cache_put(key, lanes)
         return lanes
 
@@ -231,6 +290,7 @@ def simulate_tree(
     parents: Dict[int, Optional[int]],
     soc: SoCConfig,
     features: RuntimeFeatures = RuntimeFeatures.all(),
+    memo: Optional[LaneBlockMemo] = None,
 ) -> SimResult:
     """Schedule one step's refactorized supernodes onto the SoC.
 
@@ -243,6 +303,8 @@ def simulate_tree(
     soc:
         Platform; must have accelerators for parallel scheduling (CPU/GPU
         baselines use :func:`sequential_cycles` via the executor instead).
+    memo:
+        Optional run-wide :class:`LaneBlockMemo` for node pricing.
     """
     if not traces:
         return SimResult(0.0, [0.0] * max(1, soc.accel_sets), 0)
@@ -316,7 +378,7 @@ def simulate_tree(
                 if workspace <= llc_free or not running:
                     ready.pop(i)
                     comp, mem, host = node_cycles(traces[sid], soc,
-                                                  features)
+                                                  features, memo, aud)
                     _, bind = pool.acquire(1, sid, now)
                     job = _Running(sid, comp, mem, host + bind, 1, now)
                     running[sid] = job

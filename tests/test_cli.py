@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 import pytest
 
@@ -74,10 +75,28 @@ class TestSimulate:
         assert "per-step latency" in out
         assert "misses" in out
 
+    def test_op_block_pricing_line(self, capsys):
+        assert main(["simulate", "--dataset", "Sphere", "--scale", "0.03",
+                     "--platform", "supernova2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        plans = next(i for i, line in enumerate(lines)
+                     if line.startswith("step plans:"))
+        blocks = lines[plans + 1]
+        assert re.fullmatch(
+            r"op-block pricing: \d+ distinct, \d+\.\d% reused", blocks)
+        distinct = int(blocks.split()[2])
+        reused = float(blocks.split()[4].rstrip("%"))
+        assert distinct > 0
+        assert 0.0 < reused < 100.0
+
     def test_cpu_baseline(self, capsys):
         assert main(["simulate", "--dataset", "M3500", "--scale", "0.02",
                      "--platform", "boom"]) == 0
-        assert "BOOM" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "BOOM" in out
+        # CPU platforms price each step in one sequential pass: no
+        # op-block lookups, so no op-block line.
+        assert "op-block pricing" not in out
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(SystemExit):
